@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"jsrevealer/internal/js/ast"
 	"jsrevealer/internal/js/parser"
 	"jsrevealer/internal/ml/classify"
 	"jsrevealer/internal/ml/cluster"
@@ -501,21 +500,6 @@ func (d *Detector) ClassifyBatch(ctx context.Context, prepared []any) ([]bool, e
 	}
 	d.record(ctx, stgClassify, csp.End())
 	return out, nil
-}
-
-// DetectProgram classifies an already-parsed program (used by benchmarks to
-// separate parsing cost from pipeline cost).
-func (d *Detector) DetectProgram(prog *ast.Program) (bool, error) {
-	if d.classifier == nil {
-		return false, ErrNotTrained
-	}
-	paths := pathctx.Extract(prog, d.opts.Path)
-	keys := make([]nn.PathKey, len(paths))
-	for i, p := range paths {
-		keys[i] = d.model.KeyOf(p.ComponentHashes())
-	}
-	embs := d.model.Embed(keys)
-	return d.classifier.Predict(d.featurize(embs)), nil
 }
 
 // Features returns the learned cluster features.

@@ -38,13 +38,6 @@ func RewriteStatements(prog *Program, f StmtRewriter) {
 	prog.Body = r.stmtList(prog.Body)
 }
 
-// Rewrite applies an expression and a statement rewriter (either may be
-// nil) in one bottom-up traversal.
-func Rewrite(prog *Program, fe ExprRewriter, fs StmtRewriter) {
-	r := &rewriter{expr: fe, stmt: fs}
-	prog.Body = r.stmtList(prog.Body)
-}
-
 type rewriter struct {
 	expr ExprRewriter
 	stmt StmtRewriter

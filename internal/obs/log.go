@@ -77,22 +77,10 @@ func NewLogger(w io.Writer, level Level) *Logger {
 	return l
 }
 
-var defaultLogger atomic.Pointer[Logger]
+var defaultLogger = NewLogger(os.Stderr, LevelWarn)
 
-func init() {
-	defaultLogger.Store(NewLogger(os.Stderr, LevelWarn))
-}
-
-// DefaultLogger returns the process-wide logger (stderr at warn unless
-// replaced with SetDefaultLogger).
-func DefaultLogger() *Logger { return defaultLogger.Load() }
-
-// SetDefaultLogger replaces the process-wide logger; nil is ignored.
-func SetDefaultLogger(l *Logger) {
-	if l != nil {
-		defaultLogger.Store(l)
-	}
-}
+// DefaultLogger returns the process-wide logger (stderr at warn).
+func DefaultLogger() *Logger { return defaultLogger }
 
 // SetLevel changes the minimum emitted level.
 func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }

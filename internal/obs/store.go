@@ -137,7 +137,6 @@ type TraceStore struct {
 
 	capturing   atomic.Bool
 	lastCapture atomic.Int64 // unix nanos of the last capture start
-	captures    atomic.Int64
 }
 
 // NewTraceStore builds a store with opts (zero values select defaults).
@@ -286,7 +285,6 @@ func (s *TraceStore) maybeCapture(traceID string) {
 		DefaultLogger().Event(nil, LevelWarn, "trace.capture", "error", err.Error())
 		return
 	}
-	s.captures.Add(1)
 	DefaultLogger().Event(nil, LevelInfo, "trace.capture",
 		"trace_id", traceID, "path", path,
 		"duration", s.opts.ProfileDuration.String())
@@ -298,9 +296,6 @@ func (s *TraceStore) maybeCapture(traceID string) {
 		s.capturing.Store(false)
 	}()
 }
-
-// Captures reports how many automatic slow-trace CPU captures have started.
-func (s *TraceStore) Captures() int64 { return s.captures.Load() }
 
 // Len reports how many traces are currently retained.
 func (s *TraceStore) Len() int {

@@ -1,5 +1,5 @@
 // The engine's side of the verdict audit trail: provenance is collected
-// where the verdict is decided (scanSource knows the cache outcome and
+// where the verdict is decided (the driver knows the cache outcome and
 // which tier answered; the context carries the request metadata and trace)
 // and written as one audit.Record per result, plus one webhook alert for
 // alert-worthy rule verdicts. Everything here is gated on Config.Audit and
@@ -18,7 +18,7 @@ import (
 )
 
 // provenance is the audit-relevant context of one verdict, threaded out of
-// scanSource alongside the Result. The zero value (auditing disabled)
+// the driver alongside the Result. The zero value (auditing disabled)
 // carries nothing — except rset, which is pinned for every scan so one
 // file never mixes rule generations across a hot reload.
 type provenance struct {

@@ -110,6 +110,29 @@ func TestScanAuditTrail(t *testing.T) {
 	}
 }
 
+// TestScanAuditDetectorStages: with a real core.Detector, a pipeline-tier
+// ScanSource record still carries the detector's embed and classify stage
+// timings. ScanSource is a batch of one, so its back half must run under
+// the file's own context, not a shared batch context.
+func TestScanAuditDetectorStages(t *testing.T) {
+	det, samples := trainedDetector(t)
+	log, records := openAudit(t)
+	eng := New(det, Config{Audit: log, CacheSize: -1})
+	ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
+	if res := eng.ScanSource(ctx, "s.js", samples[0].Source); res.Tier != TierPipeline {
+		t.Fatalf("tier = %q (err %v), want pipeline", res.Tier, res.Err)
+	}
+	recs := records()
+	if len(recs) != 1 {
+		t.Fatalf("got %d audit records, want 1", len(recs))
+	}
+	for _, stage := range []string{"embed", "classify"} {
+		if _, ok := recs[0].StagesMS[stage]; !ok {
+			t.Errorf("stages_ms = %v, want a %s entry", recs[0].StagesMS, stage)
+		}
+	}
+}
+
 func TestScanAuditDegradedAndFailed(t *testing.T) {
 	log, records := openAudit(t)
 	boom := ClassifierFunc(func(ctx context.Context, src string) (bool, error) {

@@ -1,42 +1,80 @@
-// Batched scanning: when the classifier can split detection into a
-// per-script front half (parse + path extraction) and a matrix-shaped back
-// half (embedding + classification), the engine amortizes the back half
-// across the whole batch. Phase 1 fans the front half out over the worker
-// pool — guards, cache, triage, and prepare all run concurrently, and
-// anything that finishes there (cache hit, triage clear, guard failure) is
-// emitted immediately. Phase 2 then classifies every surviving script in
-// ONE call, which lets the neural embedding run as a single batched pass
-// (see nn.EmbedBatch) instead of paying per-script pool and dispatch
-// overhead. Verdicts are identical to the per-script path; only the cost
-// moves.
+// The engine's one driver. Every entry point — ScanSource, ScanSources,
+// ScanFiles, ScanDir — hands run a slice of items; run returns one Result
+// per item. Detection is split into a per-script front half (parse + path
+// extraction) and a matrix-shaped back half (embedding + classification),
+// so a pass works in two phases. Phase 1 fans the per-item ladder out over
+// the worker pool with par.ForCtx: load, guards, cache, dedup, deny list,
+// triage, deobfuscation, rules, and the classifier's prepare. Anything that
+// finishes there (cache hit, triage clear, rules verdict, guard or parse
+// failure) is final at once and emitted immediately. Phase 2 classifies
+// every surviving script in ONE call, which lets the neural embedding run
+// as a single batched pass (see nn.EmbedBatch). Dedup followers are then
+// finished by one more pass with dedup off. A batch of one takes par's
+// serial path: no goroutine, no dedup map.
 package scan
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jsrevealer/internal/js/parser"
 	"jsrevealer/internal/obs"
+	"jsrevealer/internal/par"
 	"jsrevealer/internal/rules"
 )
 
 // BatchClassifier is optionally implemented by classifiers that split
 // detection into a per-script prepare and a batched classify
 // (core.Detector does). PrepareBatch runs the per-script front of the
-// pipeline and returns opaque state; ClassifyBatch consumes a slice of
-// such states and returns one verdict per element, in order. Both must be
-// safe for concurrent use; the engine wraps each in the same panic
-// isolation and deadlines as DetectWithLimits.
+// pipeline under the engine's parser limits and returns opaque state;
+// ClassifyBatch consumes a slice of such states and returns one verdict per
+// element, in order. Both must be safe for concurrent use; the engine wraps
+// each in panic isolation and a deadline. New adapts any other Classifier
+// with a per-item wrapper.
 type BatchClassifier interface {
 	PrepareBatch(ctx context.Context, src string, lim parser.Limits) (any, error)
 	ClassifyBatch(ctx context.Context, prepared []any) ([]bool, error)
 }
 
-// pendingScan is one script that passed the guards, the cache, and triage
-// in phase 1 and now awaits the batched back half.
+// perItem adapts a plain Classifier to BatchClassifier: PrepareBatch runs
+// the whole detection — under the per-file deadline and panic isolation
+// every prepare gets — and ClassifyBatch hands the verdicts back. A plain
+// Classifier does not see the engine's parser limits.
+type perItem struct{ c Classifier }
+
+func (p perItem) PrepareBatch(ctx context.Context, src string, _ parser.Limits) (any, error) {
+	malicious, err := p.c.DetectCtx(ctx, src)
+	return malicious, err
+}
+
+func (perItem) ClassifyBatch(_ context.Context, prepared []any) ([]bool, error) {
+	out := make([]bool, len(prepared))
+	for i, v := range prepared {
+		out[i] = v.(bool)
+	}
+	return out, nil
+}
+
+// item is one script queued for the driver. An in-memory source carries
+// its content; a file carries only its path and is read by the worker that
+// reaches it, under the size guard (loadFile).
+type item struct {
+	name string
+	src  string
+	file bool // name is a path to load lazily
+	// err is the walk error that made a directory entry unreadable; the
+	// entry's load fails with it.
+	err error
+	// spent is time an earlier pass already put into the item (a dedup
+	// follower's first visit); it counts toward Result.Duration.
+	spent time.Duration
+}
+
+// pendingScan is one script that left phase 1 without a final result: a
+// leader awaiting the batched back half, or a follower awaiting the pass
+// that finishes duplicates.
 type pendingScan struct {
 	idx      int             // slot in the results slice
 	src      string          // script content (degrade needs it on batch failure)
@@ -45,14 +83,15 @@ type pendingScan struct {
 	res      Result          // partial result (Path/Bytes set)
 	prov     provenance      // audit provenance so far
 	sctx     context.Context // per-file context: stage timings + trace
-	prepDur  time.Duration   // phase-1 wall time (load, guards, prepare)
+	span     *obs.Span       // the item's scan.file span, open until its result is final
+	dur      time.Duration   // phase-1 wall time (load, ladder, prepare)
 	follower bool            // identical content is pipeline-bound under another slot
 }
 
 // batchDedup collapses byte-identical content within one batched run. The
 // first script to claim a content key becomes the leader and goes to the
 // pipeline; later claimants become followers, skip prepare entirely, and
-// are finalized after the batch from the cache entry the leader wrote — a
+// are finished after the batch from the cache entry the leader wrote — a
 // directory of duplicated bundles costs one pipeline run, not N.
 type batchDedup struct {
 	mu   sync.Mutex
@@ -75,12 +114,112 @@ func (d *batchDedup) claim(key cacheKey) bool {
 	return true
 }
 
-// prepareSource runs phase 1 for one source: the shared front (guards,
-// cache, dedup, triage) and, when the script survives, the classifier's
-// prepare under the per-file deadline. A nil pendingScan means the result
-// is final.
-func (e *Engine) prepareSource(ctx context.Context, ins *instruments, bc BatchClassifier, dedup *batchDedup, name, src string) (Result, provenance, *pendingScan) {
-	fctx, res, prov, key, state := e.scanSourceFront(ctx, ins, dedup, name, src)
+// run scans items and returns one Result per item, in input order. emit,
+// when non-nil, receives each Result as soon as it is final, from worker
+// goroutines; it must be safe for concurrent use.
+func (e *Engine) run(ctx context.Context, items []item, emit func(Result)) []Result {
+	ins := newInstruments(obs.FromContext(ctx))
+	results := make([]Result, len(items))
+	e.pass(ctx, ins, items, results, emit, false)
+	// Items skipped by an engine-wide cancellation still get a result (but
+	// no audit record: nothing scanned them). Every final Result names its
+	// tier, so an empty Tier marks a skipped slot.
+	for i := range results {
+		if results[i].Tier == "" {
+			results[i] = Result{
+				Path:    items[i].name,
+				Verdict: VerdictFailed,
+				Tier:    TierNone,
+				Err:     fmt.Errorf("%w: scan cancelled: %v", ErrTimeout, ctx.Err()),
+			}
+			ins.observe(results[i])
+			if emit != nil {
+				emit(results[i])
+			}
+		}
+	}
+	return results
+}
+
+// pass is one sweep of the driver over items: phase 1 through the worker
+// pool, phase 2 over the surviving leaders, then one more pass, with dedup
+// off, for the followers. Each visit to an item is covered by a "scan.file"
+// span that stays open until the visit ends (through phase 2 for a
+// leader), so the classifier's own spans nest beneath it.
+func (e *Engine) pass(ctx context.Context, ins *instruments, items []item, results []Result, emit func(Result), followers bool) {
+	start := time.Now()
+	var dedup *batchDedup
+	if e.cache != nil && !followers && len(items) > 1 {
+		dedup = newBatchDedup()
+	}
+	pending := make([]*pendingScan, len(items))
+	// A cancelled ctx stops dispatch; run gives every skipped slot a result.
+	_ = par.ForCtx(ctx, e.cfg.Workers, len(items), func(i int) {
+		if !followers {
+			// Queue wait: how long the item sat before a worker reached it —
+			// the engine's backpressure signal. Followers were counted on
+			// their first pass.
+			ins.wait.ObserveDuration(time.Since(start))
+		}
+		fstart := time.Now()
+		sctx, sp := obs.StartSpan(ctx, "scan.file")
+		ins.inflight.Inc()
+		res, prov, p := e.prepareItem(sctx, ins, dedup, items[i])
+		ins.inflight.Dec()
+		dur := items[i].spent + time.Since(fstart)
+		if p == nil {
+			sp.End()
+			res.Duration = dur
+			e.deliver(sctx, ins, res, prov, &results[i], emit)
+			return
+		}
+		p.idx, p.span, p.dur = i, sp, dur
+		pending[i] = p
+	})
+	var leaders, follow []*pendingScan
+	for _, p := range pending {
+		switch {
+		case p == nil:
+		case p.follower:
+			follow = append(follow, p)
+		default:
+			leaders = append(leaders, p)
+		}
+	}
+	if len(leaders) > 0 {
+		e.classifyLeaders(ctx, ins, leaders, results, emit)
+	}
+	if len(follow) > 0 {
+		// In the common case a follower's second visit is a cache hit on its
+		// leader's entry; if the leader's verdict was not cacheable, the
+		// follower runs the ladder itself.
+		fitems := make([]item, len(follow))
+		for k, p := range follow {
+			p.span.End()
+			fitems[k] = item{name: p.res.Path, src: p.src, spent: p.dur}
+		}
+		fres := make([]Result, len(follow))
+		e.pass(ctx, ins, fitems, fres, emit, true)
+		for k, p := range follow {
+			results[p.idx] = fres[k]
+		}
+	}
+}
+
+// prepareItem is the per-item ladder of phase 1: load, the shared front
+// (guards, cache, dedup, deny list, triage), deobfuscation, the full rules
+// pass, and the classifier's prepare under the per-file deadline. A nil
+// pendingScan means the result is final.
+func (e *Engine) prepareItem(ctx context.Context, ins *instruments, dedup *batchDedup, it item) (Result, provenance, *pendingScan) {
+	src := it.src
+	if it.file {
+		res, prov, data, finished := e.loadFile(ctx, it)
+		if finished {
+			return res, prov, nil
+		}
+		src = data
+	}
+	fctx, res, prov, key, state := e.scanSourceFront(ctx, ins, dedup, it.name, src)
 	switch state {
 	case frontDone:
 		return res, prov, nil
@@ -88,26 +227,29 @@ func (e *Engine) prepareSource(ctx context.Context, ins *instruments, bc BatchCl
 		return res, prov, &pendingScan{src: src, res: res, sctx: fctx, follower: true}
 	}
 	pctx, cancel := context.WithTimeout(fctx, e.cfg.Timeout)
+	defer cancel()
 	csrc := src
 	if e.deobOn(fctx) {
-		// Same contract as the per-script path: the classifier prepares the
-		// normalized source, everything else answers for the original bytes.
+		// Normalization shares the per-file deadline with classification: a
+		// pathological input cannot buy itself extra wall time by being
+		// expensive to deobfuscate. The classifier sees the normalized
+		// source; caching, auditing, and degradation keep using src.
 		csrc, res.DeobPasses = e.normalizeSource(pctx, src)
 		prov.deobPasses = res.DeobPasses
 	}
 	if prov.rset != nil {
-		// Full rules pass, identical to the per-script path: a forcing or
-		// allow hit finalizes the script here and it never joins the batch.
-		rv := e.evalRules(pctx, prov.rset, name, src, csrc)
+		// Full rules pass, post-deobfuscation: signatures and lists see the
+		// raw bytes, the normalized source, and (when a rule needs it) the
+		// AST. A forcing hit or allow-list clear answers here without ever
+		// running the model; annotation hits ride along on its verdict.
+		rv := e.evalRules(pctx, prov.rset, it.name, src, csrc)
 		res.RuleHits = rv.Hits
 		if rv.Action != rules.ActionNone {
-			cancel()
 			res, prov = e.finishRules(fctx, res, prov, key, rv.Action == rules.ActionMalicious)
 			return res, prov, nil
 		}
 	}
-	prepared, err := e.prepare(pctx, bc, csrc)
-	cancel()
+	prepared, err := e.prepare(pctx, csrc)
 	if err != nil {
 		res, prov = e.finishScan(fctx, res, prov, key, src, false, err)
 		return res, prov, nil
@@ -118,9 +260,11 @@ func (e *Engine) prepareSource(ctx context.Context, ins *instruments, bc BatchCl
 	}
 }
 
-// prepare runs the classifier's front half in an isolated goroutine, with
-// the same panic and deadline hardening as classify.
-func (e *Engine) prepare(ctx context.Context, bc BatchClassifier, src string) (any, error) {
+// prepare runs the classifier's front half in an isolated goroutine: panics
+// become ErrInternal, and the select enforces the deadline even against a
+// classifier that ignores ctx (the cooperative parser cancellation bounds
+// how long such a goroutine can linger).
+func (e *Engine) prepare(ctx context.Context, src string) (any, error) {
 	type outcome struct {
 		prepared any
 		err      error
@@ -133,7 +277,7 @@ func (e *Engine) prepare(ctx context.Context, bc BatchClassifier, src string) (a
 			}
 		}()
 		lim := parser.Limits{MaxDepth: e.cfg.MaxDepth, MaxTokens: e.cfg.MaxTokens}
-		p, err := bc.PrepareBatch(ctx, src, lim)
+		p, err := e.bc.PrepareBatch(ctx, src, lim)
 		ch <- outcome{prepared: p, err: classifyError(err, ctx)}
 	}()
 	select {
@@ -144,12 +288,45 @@ func (e *Engine) prepare(ctx context.Context, bc BatchClassifier, src string) (a
 	}
 }
 
+// classifyLeaders is phase 2: one ClassifyBatch call over every leader,
+// then per-script finalization (cache, metrics, audit, emit). When the
+// whole batch fails, each script degrades individually — the fallback is
+// per-script, so one poisoned batch still yields a verdict per file. A lone
+// leader (always the case for ScanSource) classifies under its own per-file
+// context, so embed and classify land in its trace and audit stage timings;
+// a larger batch runs under one shared "scan.batch" span.
+func (e *Engine) classifyLeaders(ctx context.Context, ins *instruments, leaders []*pendingScan, results []Result, emit func(Result)) {
+	bctx := leaders[0].sctx
+	var sp *obs.Span
+	if len(leaders) > 1 {
+		bctx, sp = obs.StartSpan(ctx, "scan.batch")
+	}
+	prepared := make([]any, len(leaders))
+	for i, p := range leaders {
+		prepared[i] = p.prepared
+	}
+	bstart := time.Now()
+	verdicts, err := e.classifyBatch(bctx, prepared)
+	batchDur := time.Since(bstart)
+	sp.End()
+	for i, p := range leaders {
+		var malicious bool
+		if err == nil {
+			malicious = verdicts[i]
+		}
+		res, prov := e.finishScan(p.sctx, p.res, p.prov, p.key, p.src, malicious, err)
+		res.Duration = p.dur + batchDur
+		p.span.End()
+		e.deliver(p.sctx, ins, res, prov, &results[p.idx], emit)
+	}
+}
+
 // classifyBatch runs the classifier's batched back half with panic
 // isolation under one Config.Timeout for the whole batch. The back half is
 // bounded matrix arithmetic — no parsing, no per-script pathology — so the
 // per-file deadline is a generous bound for it; if it is somehow exceeded,
 // every pending script degrades to the fallback rather than being dropped.
-func (e *Engine) classifyBatch(ctx context.Context, bc BatchClassifier, prepared []any) ([]bool, error) {
+func (e *Engine) classifyBatch(ctx context.Context, prepared []any) ([]bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, e.cfg.Timeout)
 	defer cancel()
 	type outcome struct {
@@ -163,7 +340,7 @@ func (e *Engine) classifyBatch(ctx context.Context, bc BatchClassifier, prepared
 				ch <- outcome{err: fmt.Errorf("%w: panic: %v", ErrInternal, r)}
 			}
 		}()
-		v, err := bc.ClassifyBatch(ctx, prepared)
+		v, err := e.bc.ClassifyBatch(ctx, prepared)
 		ch <- outcome{verdicts: v, err: classifyError(err, ctx)}
 	}()
 	select {
@@ -178,211 +355,13 @@ func (e *Engine) classifyBatch(ctx context.Context, bc BatchClassifier, prepared
 	}
 }
 
-// runBatch is phase 2: one ClassifyBatch call over every pending leader,
-// then per-script finalization (cache, metrics, audit, emit). When the
-// whole batch fails, each script degrades individually — the fallback is
-// per-script, so one poisoned batch still yields a verdict per file. Each
-// Result's Duration is its own phase-1 time plus the shared batch time,
-// not the time it idled at the barrier. Followers (scripts whose content an
-// earlier leader already took through the pipeline) are finalized last by
-// re-running scanSource: in the common case that is a cache hit on the
-// leader's entry; if the leader failed to produce a cacheable verdict, the
-// follower runs the per-script pipeline itself.
-func (e *Engine) runBatch(ctx context.Context, ins *instruments, bc BatchClassifier, pend []*pendingScan, results []Result, done []bool, emit func(Result)) {
-	var followers []*pendingScan
-	leaders := pend[:0]
-	for _, p := range pend {
-		if p.follower {
-			followers = append(followers, p)
-		} else {
-			leaders = append(leaders, p)
-		}
+// deliver publishes one final Result: metrics, the audit and alert sinks,
+// its results slot, and the streaming callback. Duration must be stamped.
+func (e *Engine) deliver(ctx context.Context, ins *instruments, res Result, prov provenance, slot *Result, emit func(Result)) {
+	ins.observe(res)
+	e.recordResult(ctx, res, prov)
+	*slot = res
+	if emit != nil {
+		emit(res)
 	}
-	if len(leaders) > 0 {
-		prepared := make([]any, len(leaders))
-		for i, p := range leaders {
-			prepared[i] = p.prepared
-		}
-		bctx, sp := obs.StartSpan(ctx, "scan.batch")
-		bstart := time.Now()
-		verdicts, err := e.classifyBatch(bctx, bc, prepared)
-		batchDur := time.Since(bstart)
-		sp.End()
-		for i, p := range leaders {
-			var res Result
-			var prov provenance
-			if err == nil {
-				res, prov = e.finishScan(p.sctx, p.res, p.prov, p.key, p.src, verdicts[i], nil)
-			} else {
-				res, prov = e.finishScan(p.sctx, p.res, p.prov, p.key, p.src, false, err)
-			}
-			res.Duration = p.prepDur + batchDur
-			ins.observe(res)
-			e.recordResult(p.sctx, res, prov)
-			results[p.idx] = res
-			done[p.idx] = true
-			if emit != nil {
-				emit(res)
-			}
-		}
-	}
-	for _, p := range followers {
-		fstart := time.Now()
-		res, prov := e.scanSource(p.sctx, ins, p.res.Path, p.src)
-		res.Duration = p.prepDur + time.Since(fstart)
-		ins.observe(res)
-		e.recordResult(p.sctx, res, prov)
-		results[p.idx] = res
-		done[p.idx] = true
-		if emit != nil {
-			emit(res)
-		}
-	}
-}
-
-// scanSourcesBatched is ScanSources for a BatchClassifier: concurrent
-// phase 1 with early emission of everything that never needs the pipeline,
-// then one batched classification for the rest.
-func (e *Engine) scanSourcesBatched(ctx context.Context, bc BatchClassifier, srcs []Source, emit func(Result)) Stats {
-	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	results := make([]Result, len(srcs))
-	done := make([]bool, len(srcs))
-	pending := make([]*pendingScan, len(srcs))
-	dedup := newBatchDedup()
-	workers := e.cfg.Workers
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(srcs) || ctx.Err() != nil {
-					return
-				}
-				ins.wait.ObserveDuration(time.Since(start))
-				fstart := time.Now()
-				sctx, sp := obs.StartSpan(ctx, "scan.file")
-				ins.inflight.Inc()
-				res, prov, pend := e.prepareSource(sctx, ins, bc, dedup, srcs[i].Name, srcs[i].Content)
-				ins.inflight.Dec()
-				sp.End()
-				if pend == nil {
-					res.Duration = time.Since(fstart)
-					ins.observe(res)
-					e.recordResult(sctx, res, prov)
-					results[i] = res
-					done[i] = true
-					if emit != nil {
-						emit(res)
-					}
-					continue
-				}
-				pend.idx = i
-				pend.prepDur = time.Since(fstart)
-				pending[i] = pend
-			}
-		}()
-	}
-	wg.Wait()
-	pend := pending[:0]
-	for _, p := range pending {
-		if p != nil {
-			pend = append(pend, p)
-		}
-	}
-	e.runBatch(ctx, ins, bc, pend, results, done, emit)
-	// Sources skipped by an engine-wide cancellation still get a result.
-	for i := range results {
-		if !done[i] {
-			results[i] = Result{
-				Path:    srcs[i].Name,
-				Verdict: VerdictFailed,
-				Tier:    TierNone,
-				Err:     fmt.Errorf("%w: scan cancelled: %v", ErrTimeout, ctx.Err()),
-			}
-			ins.observe(results[i])
-			if emit != nil {
-				emit(results[i])
-			}
-		}
-	}
-	return summarize(results, time.Since(start))
-}
-
-// scanFilesBatched is ScanFiles for a BatchClassifier: load + phase 1 in
-// the worker pool, one batched classification for whatever survives.
-func (e *Engine) scanFilesBatched(ctx context.Context, bc BatchClassifier, paths []string) ([]Result, Stats) {
-	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	results := make([]Result, len(paths))
-	done := make([]bool, len(paths))
-	pending := make([]*pendingScan, len(paths))
-	dedup := newBatchDedup()
-	workers := e.cfg.Workers
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(paths) || ctx.Err() != nil {
-					return
-				}
-				ins.wait.ObserveDuration(time.Since(start))
-				fstart := time.Now()
-				sctx, sp := obs.StartSpan(ctx, "scan.file")
-				ins.inflight.Inc()
-				res, prov, src, finished := e.loadFile(sctx, paths[i])
-				var pend *pendingScan
-				if !finished {
-					res, prov, pend = e.prepareSource(sctx, ins, bc, dedup, paths[i], src)
-				}
-				ins.inflight.Dec()
-				sp.End()
-				if pend == nil {
-					res.Duration = time.Since(fstart)
-					ins.observe(res)
-					e.recordResult(sctx, res, prov)
-					results[i] = res
-					done[i] = true
-					continue
-				}
-				pend.idx = i
-				pend.prepDur = time.Since(fstart)
-				pending[i] = pend
-			}
-		}()
-	}
-	wg.Wait()
-	pend := pending[:0]
-	for _, p := range pending {
-		if p != nil {
-			pend = append(pend, p)
-		}
-	}
-	e.runBatch(ctx, ins, bc, pend, results, done, nil)
-	// Files skipped by an engine-wide cancellation still get a result.
-	for i := range results {
-		if !done[i] {
-			results[i] = Result{
-				Path:    paths[i],
-				Verdict: VerdictFailed,
-				Tier:    TierNone,
-				Err:     fmt.Errorf("%w: scan cancelled: %v", ErrTimeout, ctx.Err()),
-			}
-			ins.observe(results[i])
-		}
-	}
-	return results, summarize(results, time.Since(start))
 }

@@ -1,7 +1,7 @@
 // The engine's side of the declarative rules layer (internal/rules). Rules
 // run in two stages: a cheap deny-only text pass before triage
 // (scanSourceFront), and the full pass — lists, signatures, path predicates
-// — after deobfuscation, just before the model (scanSource/prepareSource).
+// — after deobfuscation, just before the model (prepareItem).
 // Everything here is nil-safe on a disabled rules layer: with Config.Rules
 // unset the engine's verdicts are bit-identical to a rules-free build.
 package scan

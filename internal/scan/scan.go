@@ -2,7 +2,11 @@
 // over many files from a configurable worker pool while guaranteeing that
 // no single input — however pathological — can take the scan down.
 //
-// Each file is classified inside an isolated goroutine with
+// One driver (batch.go) serves every entry point: ScanSource is a batch of
+// one, ScanSources a batch of in-memory scripts, ScanFiles and ScanDir a
+// batch of lazily loaded files. Each script climbs one ladder — guards,
+// verdict cache, deny list, triage, deobfuscation, rules, classify — and
+// the classifier's work runs with
 //
 //   - panic recovery: a panic anywhere in the pipeline becomes a structured
 //     ErrInternal result instead of crashing the process;
@@ -29,8 +33,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"jsrevealer/internal/alert"
@@ -49,13 +51,6 @@ import (
 // panics, so a misbehaving classifier degrades a file, never the scan.
 type Classifier interface {
 	DetectCtx(ctx context.Context, src string) (bool, error)
-}
-
-// LimitedClassifier is optionally implemented by classifiers that accept
-// explicit parser resource limits (core.Detector does); the engine then
-// threads its MaxDepth/MaxTokens guards through the parse.
-type LimitedClassifier interface {
-	DetectWithLimits(ctx context.Context, src string, lim parser.Limits) (bool, error)
 }
 
 // ClassifierFunc adapts a function to the Classifier interface.
@@ -222,10 +217,10 @@ type Result struct {
 	Err error
 	// Bytes is the input size.
 	Bytes int64
-	// Duration is the wall time spent on the file, fallback included. In a
-	// batched scan this is the file's own share — its load/triage/prepare
-	// time plus the shared batch classification — not the time it spent
-	// waiting at the batch barrier.
+	// Duration is the file's own share of the scan, fallback included: its
+	// load, ladder and prepare time plus the batch classification it joined,
+	// not the time it spent waiting at the batch barrier. For a batch of one
+	// (ScanSource) that is its wall time.
 	Duration time.Duration
 	// Tier names what produced the verdict: TierTriage, TierPipeline,
 	// TierCache, TierFallback, or TierNone (see tier.go).
@@ -281,7 +276,7 @@ type Stats struct {
 // Engine scans files concurrently with panic isolation, deadlines, input
 // guards, and graceful degradation. It is safe for concurrent use.
 type Engine struct {
-	c      Classifier
+	bc     BatchClassifier // the classifier, adapted when it does not batch
 	cfg    Config
 	cache  *verdictCache         // nil when caching is disabled
 	triage *triage.Scorer        // nil when the triage tier is disabled
@@ -289,9 +284,14 @@ type Engine struct {
 }
 
 // New builds an engine around a classifier. cfg zero-values select the
-// hardened defaults.
+// hardened defaults. A classifier that is not a BatchClassifier is wrapped
+// once in a per-item adapter, so every scan takes the same batched path.
 func New(c Classifier, cfg Config) *Engine {
-	e := &Engine{c: c, cfg: cfg.withDefaults()}
+	bc, ok := c.(BatchClassifier)
+	if !ok {
+		bc = perItem{c}
+	}
+	e := &Engine{bc: bc, cfg: cfg.withDefaults()}
 	if e.cfg.CacheSize > 0 {
 		e.cache = newVerdictCache(e.cfg.CacheSize)
 	}
@@ -313,39 +313,26 @@ func (e *Engine) Config() Config { return e.cfg }
 // a per-entry error. The returned error is non-nil only when the root
 // itself is unusable.
 func (e *Engine) ScanDir(ctx context.Context, dir string) ([]Result, Stats, error) {
-	var paths []string
-	var broken []Result
+	var items []item
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			if path == dir {
 				return err
 			}
-			broken = append(broken, Result{
-				Path:    path,
-				Verdict: VerdictFailed,
-				Tier:    TierNone,
-				Err:     fmt.Errorf("%w: %v", ErrInternal, err),
-			})
+			items = append(items, item{name: path, file: true, err: err})
 			return nil
 		}
 		if !d.IsDir() && strings.HasSuffix(path, ".js") {
-			paths = append(paths, path)
+			items = append(items, item{name: path, file: true})
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	results, stats := e.ScanFiles(ctx, paths)
-	ins := newInstruments(obs.FromContext(ctx))
-	for _, r := range broken {
-		ins.observe(r)
-	}
-	results = append(results, broken...)
-	stats.Scanned += len(broken)
-	stats.Failed += len(broken)
-	stats.Internal += len(broken)
-	return results, stats, nil
+	start := time.Now()
+	results := e.run(ctx, items, nil)
+	return results, summarize(results, time.Since(start)), nil
 }
 
 // ScanFiles scans the given files through the worker pool and returns one
@@ -353,51 +340,12 @@ func (e *Engine) ScanDir(ctx context.Context, dir string) ([]Result, Stats, erro
 // latency, queue wait, verdict, and error-taxonomy metrics are recorded
 // into the registry carried by ctx (obs.Default() otherwise).
 func (e *Engine) ScanFiles(ctx context.Context, paths []string) ([]Result, Stats) {
-	if bc, ok := e.c.(BatchClassifier); ok {
-		return e.scanFilesBatched(ctx, bc, paths)
-	}
 	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	results := make([]Result, len(paths))
-	workers := e.cfg.Workers
-	if workers > len(paths) {
-		workers = len(paths)
+	items := make([]item, len(paths))
+	for i, p := range paths {
+		items[i] = item{name: p, file: true}
 	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(paths) || ctx.Err() != nil {
-					return
-				}
-				// Queue wait: how long the file sat before any worker
-				// reached it — the engine's backpressure signal.
-				ins.wait.ObserveDuration(time.Since(start))
-				ins.inflight.Inc()
-				res := e.scanFile(ctx, ins, paths[i])
-				ins.inflight.Dec()
-				ins.observe(res)
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	// Files skipped by an engine-wide cancellation still get a result.
-	for i := range results {
-		if results[i].Path == "" {
-			results[i] = Result{
-				Path:    paths[i],
-				Verdict: VerdictFailed,
-				Tier:    TierNone,
-				Err:     fmt.Errorf("%w: scan cancelled: %v", ErrTimeout, ctx.Err()),
-			}
-			ins.observe(results[i])
-		}
-	}
+	results := e.run(ctx, items, nil)
 	return results, summarize(results, time.Since(start))
 }
 
@@ -418,115 +366,43 @@ type Source struct {
 // the whole batch. Aggregate statistics are returned once every source is
 // done; per-file metrics land in the registry carried by ctx.
 func (e *Engine) ScanSources(ctx context.Context, srcs []Source, emit func(Result)) Stats {
-	if bc, ok := e.c.(BatchClassifier); ok {
-		return e.scanSourcesBatched(ctx, bc, srcs, emit)
-	}
 	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	results := make([]Result, len(srcs))
-	done := make([]bool, len(srcs))
-	workers := e.cfg.Workers
-	if workers > len(srcs) {
-		workers = len(srcs)
+	items := make([]item, len(srcs))
+	for i, s := range srcs {
+		items[i] = item{name: s.Name, src: s.Content}
 	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(srcs) || ctx.Err() != nil {
-					return
-				}
-				ins.wait.ObserveDuration(time.Since(start))
-				fstart := time.Now()
-				sctx, sp := obs.StartSpan(ctx, "scan.file")
-				ins.inflight.Inc()
-				res, prov := e.scanSource(sctx, ins, srcs[i].Name, srcs[i].Content)
-				ins.inflight.Dec()
-				sp.End()
-				res.Duration = time.Since(fstart)
-				ins.observe(res)
-				e.recordResult(sctx, res, prov)
-				results[i] = res
-				done[i] = true
-				if emit != nil {
-					emit(res)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Sources skipped by an engine-wide cancellation still get a result.
-	for i := range results {
-		if !done[i] {
-			results[i] = Result{
-				Path:    srcs[i].Name,
-				Verdict: VerdictFailed,
-				Tier:    TierNone,
-				Err:     fmt.Errorf("%w: scan cancelled: %v", ErrTimeout, ctx.Err()),
-			}
-			ins.observe(results[i])
-			if emit != nil {
-				emit(results[i])
-			}
-		}
-	}
-	return summarize(results, time.Since(start))
+	return summarize(e.run(ctx, items, emit), time.Since(start))
 }
 
-// ScanSource scans one in-memory script under the engine's guards,
-// recording the same per-file metrics as ScanFiles.
+// ScanSource scans one in-memory script under the engine's guards — a
+// batch of one — recording the same per-file metrics as ScanFiles.
 func (e *Engine) ScanSource(ctx context.Context, name, src string) Result {
-	start := time.Now()
-	ins := newInstruments(obs.FromContext(ctx))
-	sctx, sp := obs.StartSpan(ctx, "scan.file")
-	ins.inflight.Inc()
-	res, prov := e.scanSource(sctx, ins, name, src)
-	ins.inflight.Dec()
-	sp.End()
-	res.Duration = time.Since(start)
-	ins.observe(res)
-	e.recordResult(sctx, res, prov)
-	return res
+	return e.run(ctx, []item{{name: name, src: src}}, nil)[0]
 }
 
-// scanFile loads one file and scans it; oversized files skip straight to
-// degradation on a bounded prefix without ever being fully read. The whole
-// file is covered by a "scan.file" span, under which the classifier's own
-// spans nest.
-func (e *Engine) scanFile(ctx context.Context, ins *instruments, path string) Result {
-	start := time.Now()
-	ctx, sp := obs.StartSpan(ctx, "scan.file")
-	defer sp.End()
-	res, prov, src, finished := e.loadFile(ctx, path)
-	if !finished {
-		res, prov = e.scanSource(ctx, ins, path, src)
-	}
-	res.Duration = time.Since(start)
-	e.recordResult(ctx, res, prov)
-	return res
-}
-
-// loadFile stats and reads path under the engine's size guard. A true
-// finished flag means the file never reaches the pipeline: stat/read
-// failure (Failed) or oversize (degraded on a MaxBytes prefix, never fully
-// read). Duration is left for the caller to stamp.
-func (e *Engine) loadFile(ctx context.Context, path string) (Result, provenance, string, bool) {
-	res := Result{Path: path}
-	info, err := os.Stat(path)
-	if err != nil {
+// loadFile stats and reads a file item under the engine's size guard. A
+// true finished flag means the file never reaches the pipeline: walk, stat
+// or read failure (Failed) or oversize (degraded on a MaxBytes prefix,
+// never fully read). Duration is left for the caller to stamp.
+func (e *Engine) loadFile(ctx context.Context, it item) (Result, provenance, string, bool) {
+	res := Result{Path: it.name}
+	failed := func(err error) (Result, provenance, string, bool) {
 		res.Verdict = VerdictFailed
 		res.Err = fmt.Errorf("%w: %v", ErrInternal, err)
 		res.Tier = TierNone
 		return res, provenance{cache: "off", tier: TierNone}, "", true
 	}
+	if it.err != nil {
+		return failed(it.err)
+	}
+	info, err := os.Stat(it.name)
+	if err != nil {
+		return failed(err)
+	}
 	if info.Size() > e.cfg.MaxBytes {
 		res.Bytes = info.Size()
 		prov := provenance{cache: "off"}
-		prefix, err := readPrefix(path, e.cfg.MaxBytes)
+		prefix, err := readPrefix(it.name, e.cfg.MaxBytes)
 		if err != nil {
 			res.Verdict = VerdictFailed
 			res.Err = fmt.Errorf("%w: %v", ErrInternal, err)
@@ -544,55 +420,11 @@ func (e *Engine) loadFile(ctx context.Context, path string) (Result, provenance,
 		prov.tier = res.Tier
 		return res, prov, "", true
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(it.name)
 	if err != nil {
-		res.Verdict = VerdictFailed
-		res.Err = fmt.Errorf("%w: %v", ErrInternal, err)
-		res.Tier = TierNone
-		return res, provenance{cache: "off", tier: TierNone}, "", true
+		return failed(err)
 	}
 	return res, provenance{}, string(data), false
-}
-
-// scanSource runs the guarded pipeline over src and degrades on any
-// structured failure. Duration is left for the caller to stamp. Content
-// already classified cleanly by this engine is answered from the verdict
-// cache, and — when the triage tier is enabled — plainly benign content is
-// cleared lexically, both without running the pipeline. The returned
-// provenance feeds the audit trail; it stays zero-valued (and costs
-// nothing) when auditing is disabled.
-func (e *Engine) scanSource(ctx context.Context, ins *instruments, name, src string) (Result, provenance) {
-	ctx, res, prov, key, state := e.scanSourceFront(ctx, ins, nil, name, src)
-	if state == frontDone {
-		return res, prov
-	}
-	fctx, cancel := context.WithTimeout(ctx, e.cfg.Timeout)
-	defer cancel()
-	csrc := src
-	if e.deobOn(ctx) {
-		// Normalization shares the per-file deadline with classification:
-		// a pathological input cannot buy itself extra wall time by being
-		// expensive to deobfuscate. The classifier sees the normalized
-		// source; caching, auditing, and degradation keep using src.
-		csrc, res.DeobPasses = e.normalizeSource(fctx, src)
-		prov.deobPasses = res.DeobPasses
-	}
-	if prov.rset != nil {
-		// Full rules pass, post-deobfuscation: signatures and lists see the
-		// raw bytes, the normalized source, and (when a rule needs it) the
-		// AST. A forcing hit or allow-list clear answers here without ever
-		// running the model; annotation hits ride along on its verdict.
-		rv := e.evalRules(fctx, prov.rset, name, src, csrc)
-		res.RuleHits = rv.Hits
-		switch rv.Action {
-		case rules.ActionMalicious:
-			return e.finishRules(ctx, res, prov, key, true)
-		case rules.ActionBenign:
-			return e.finishRules(ctx, res, prov, key, false)
-		}
-	}
-	malicious, err := e.classify(fctx, csrc)
-	return e.finishScan(ctx, res, prov, key, src, malicious, err)
 }
 
 // frontState is scanSourceFront's outcome.
@@ -698,7 +530,7 @@ func (e *Engine) scanSourceFront(ctx context.Context, ins *instruments, dedup *b
 		// Pre-triage deny stage: deny-list IOCs match on the raw bytes, so a
 		// deny-listed indicator convicts before triage can clear the script
 		// — a deny verdict must not depend on the lexical score. Signatures
-		// wait for the full rules pass after deobfuscation (scanSource),
+		// wait for the full rules pass after deobfuscation (prepareItem),
 		// where they see the normalized source and the AST.
 		if rv := prov.rset.EvalText(ctx, src); rv.Action == rules.ActionMalicious {
 			res.Verdict, res.Malicious = VerdictMalicious, true
@@ -756,40 +588,6 @@ func (e *Engine) finishScan(ctx context.Context, res Result, prov provenance, ke
 		prov.tier = res.Tier
 	}
 	return res, prov
-}
-
-// classify runs the full pipeline in an isolated goroutine: panics become
-// ErrInternal, and the select enforces the deadline even against a
-// classifier that ignores ctx (the cooperative parser cancellation bounds
-// how long such a goroutine can linger).
-func (e *Engine) classify(ctx context.Context, src string) (bool, error) {
-	type outcome struct {
-		malicious bool
-		err       error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("%w: panic: %v", ErrInternal, r)}
-			}
-		}()
-		lim := parser.Limits{MaxDepth: e.cfg.MaxDepth, MaxTokens: e.cfg.MaxTokens}
-		var malicious bool
-		var err error
-		if lc, ok := e.c.(LimitedClassifier); ok {
-			malicious, err = lc.DetectWithLimits(ctx, src, lim)
-		} else {
-			malicious, err = e.c.DetectCtx(ctx, src)
-		}
-		ch <- outcome{malicious: malicious, err: classifyError(err, ctx)}
-	}()
-	select {
-	case o := <-ch:
-		return o.malicious, o.err
-	case <-ctx.Done():
-		return false, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-	}
 }
 
 // degrade produces the fallback verdict for a file whose full-pipeline run

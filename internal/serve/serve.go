@@ -410,9 +410,6 @@ func (s *Server) Version() Version {
 	return v
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain stops admitting new work (every work endpoint answers 503 and
 // /healthz flips to draining) and waits for accepted async jobs to finish,
 // up to ctx's deadline. In durable mode only leases held by this process

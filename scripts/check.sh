@@ -13,6 +13,19 @@ go vet ./...
 echo "==> doc coverage (scripts/doccheck.sh)"
 sh scripts/doccheck.sh
 
+# Dead-package gate: every internal/ package must be reachable from a
+# main (cmd/, examples/) or the root facade. A package only tests import is
+# dead code that still costs review and CI time; delete it instead.
+echo "==> dead packages (internal/ reachable only from tests)"
+all=$(go list ./internal/... | sort)
+live=$(go list -deps ./cmd/... ./examples/... . | grep '^jsrevealer/internal' | sort)
+dead=$(printf '%s\n' "$all" | grep -vxF "$live" || true)
+if [ -n "$dead" ]; then
+    echo "internal packages reachable only from tests:" >&2
+    printf '  %s\n' $dead >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
